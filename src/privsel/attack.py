@@ -20,8 +20,8 @@ from scipy import special
 
 from .betadist import BetaParams, beta_draws
 from .errors import InvariantError
-from .instance import Dataset, Population, sample_dataset
-from .mechanisms import SelectionOutput, kernel_from_means, run_named_mechanism
+from .instance import Dataset, Population
+from .mechanisms import SelectionOutput, kernel_from_means
 from .seeds import trial_generator
 
 # Exact-decomposition slack: the row and column sums of Z are the same
@@ -32,15 +32,12 @@ DECOMPOSITION_TOL = 1e-9
 @dataclass(eq=False)
 class AttackReport:
     """Z statistic of one (output, dataset, population) triple, with its
-    row and column decompositions. The two bound fields start unset and are
-    filled by privacy_upper_bound / accuracy_lower_bound_proxy callers."""
+    row and column decompositions."""
 
     z_total: float
     z_by_row: np.ndarray
     z_by_col: np.ndarray
     l2_norm_sq: float
-    upper_bound_value: float | None = None
-    lower_bound_proxy: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,25 +167,18 @@ def z_statistic(output: SelectionOutput, x: Dataset, pop: Population) -> AttackR
     )
 
 
-def z_by_col_from_sums(output: SelectionOutput, column_sums: np.ndarray, n: int,
-                       pop_means: np.ndarray) -> np.ndarray:
-    """Column decomposition of Z straight from column sums; lets trial loops
-    skip materializing row-level datasets, since Z only sees column sums."""
-    if output.d != np.asarray(column_sums).size:
-        raise ValueError("dimension mismatch between output and column sums")
-    return output.scores * (np.asarray(column_sums, dtype=np.float64) - n * pop_means)
-
-
 def privacy_upper_bound(params: BoundParameters, n: int, expected_l2_sq: float) -> float:
     """The privacy ceiling on E[Z] for an (epsilon, delta)-DP mechanism whose
     output l1 norm never exceeds 2*Delta:
-    n * (e^epsilon * (1/2) * sqrt(E[l2^2]) + Delta * delta)."""
+    n * (e^epsilon * (1/2) * sqrt(E[l2^2]) + Delta * delta). It is inf when
+    e^epsilon exceeds the float range: such a budget bounds nothing."""
     if expected_l2_sq < 0:
         raise ValueError(f"expected_l2_sq must be >= 0, got {expected_l2_sq}")
-    return n * (
-        math.exp(params.epsilon) * 0.5 * math.sqrt(expected_l2_sq)
-        + params.Delta * params.delta
-    )
+    try:
+        growth = math.exp(params.epsilon)
+    except OverflowError:
+        return math.inf
+    return n * (growth * 0.5 * math.sqrt(expected_l2_sq) + params.Delta * params.delta)
 
 
 def accuracy_lower_bound_proxy(output: SelectionOutput, pop: Population,
@@ -304,33 +294,21 @@ def membership_experiment(mechanism: str, d: int, k: int, n: int, beta_sym: floa
     score one uniformly chosen member row and one fresh non-member row.
     Reports mean scores and a 3-sigma interval on the gap.
 
-    delta defaults to 1/(n*d) for mechanisms that need one."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    prior = BetaParams(beta_sym, beta_sym)
-    resolved_delta = 1.0 / (n * d) if delta is None else delta
-    member = np.empty(trials, dtype=np.float64)
-    nonmember = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        pop = Population(means=beta_draws(prior, d, rng), prior=prior)
-        x = sample_dataset(pop, n, rng)
-        output = run_named_mechanism(mechanism, x, k, epsilon, resolved_delta, rng)
-        i = int(rng.integers(n))
-        member[t] = tracing_score(output, x.row(i), pop.means)
-        fresh = (rng.random(d) < pop.means).astype(np.float64)
-        nonmember[t] = tracing_score(output, fresh, pop.means)
-    gaps = member - nonmember
-    gap_mean = float(math.fsum(gaps) / trials)
-    if trials > 1:
-        var = math.fsum((g - gap_mean) ** 2 for g in gaps) / (trials - 1)
-        ci = 3.0 * math.sqrt(var / trials)
-    else:
-        ci = float("nan")
+    The trials are those of the harness's trace kind, under one master seed
+    drawn from rng, so each trial can be reproduced on its own. delta
+    defaults to the trace kind's 1/(n*d)."""
+    from .harness import ExperimentConfig, run_experiment
+
+    record = run_experiment(ExperimentConfig(
+        kind="trace", d=d, k=k, n=n, beta_sym=beta_sym, mechanism=mechanism,
+        epsilon=epsilon, delta="paper" if delta is None else delta, trials=trials,
+        master_seed=int(rng.integers(2**63)),
+    ))
     return MembershipReport(
-        member_mean=float(math.fsum(member) / trials),
-        nonmember_mean=float(math.fsum(nonmember) / trials),
-        gap_mean=gap_mean,
-        gap_ci_halfwidth=ci,
+        member_mean=record.member_mean,
+        nonmember_mean=record.nonmember_mean,
+        gap_mean=record.gap_mean,
+        gap_ci_halfwidth=record.gap_ci,
         trials=trials,
     )
 

@@ -7,11 +7,13 @@ reduced with compensated summation in trial order, so results do not
 depend on the worker count. Emitted files are byte-stable for a fixed
 seed except for the wall-clock runtime_s column.
 
-Trial loops sample column sums directly (binomial given the population
-means): every mechanism and the Z statistic consume the dataset only
-through its column sums, so the joint distribution is exactly that of a
-row-level dataset. Row-level datasets are materialized only for the trace
-kind, which scores individual rows.
+Every kind runs one trial body that samples column sums directly
+(binomial given the population means): every mechanism, the Z statistic
+and the accuracy proxy consume the dataset only through its column sums,
+so the joint distribution is exactly that of a row-level dataset. The
+trace kind also scores one member row, drawn with independent
+Bernoulli(S_j/n) bits given the column sums S, which is the law of a
+uniformly chosen row; no kind materializes the n x d matrix.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import BoundParameters, privacy_upper_bound, tracing_score, z_statistic
+from .attack import BoundParameters, privacy_upper_bound, tracing_score
 from .betadist import BetaParams, anticoncentration_beta_choice, beta_draws
 from .errors import ConfigError
-from .instance import Population, sample_dataset, selection_error
+from .instance import selection_error
 from .mechanisms import (
     MECHANISM_NAMES,
     SelectionOutput,
     gaussian_release_from_means,
     kernel_from_means,
-    run_named_mechanism,
 )
 from .seeds import trial_generator
 
@@ -47,6 +48,15 @@ _DEFAULT_MECHANISM = {
     "trace": "nonprivate",
     "sweep": "peeling",
 }
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no column count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -74,19 +84,18 @@ class ExperimentConfig:
             raise ConfigError("kind", f"must be one of {KINDS}, got {self.kind!r}")
         for field in ("d", "k", "n", "trials"):
             v = getattr(self, field)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError(field, f"must be an integer >= 1, got {v!r}")
         if self.k > self.d:
             raise ConfigError("k", f"must not exceed d={self.d}, got {self.k}")
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
+        if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigError("master_seed", f"must be a nonnegative integer, got {self.master_seed!r}")
-        if not (isinstance(self.epsilon, (int, float)) and self.epsilon > 0
-                and math.isfinite(self.epsilon)):
+        if not (_is_real(self.epsilon) and self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError("epsilon", f"must be a positive real, got {self.epsilon!r}")
         if isinstance(self.delta, str):
             if self.delta != "paper":
                 raise ConfigError("delta", f'must be a real in [0, 1) or "paper", got {self.delta!r}')
-        elif not (isinstance(self.delta, (int, float)) and 0.0 <= self.delta < 1.0):
+        elif not (_is_real(self.delta) and 0.0 <= self.delta < 1.0):
             raise ConfigError("delta", f"must lie in [0, 1), got {self.delta!r}")
         if isinstance(self.beta_sym, str):
             if self.beta_sym != "auto":
@@ -96,7 +105,7 @@ class ExperimentConfig:
                     anticoncentration_beta_choice(self.d, self.k)
                 except ValueError as exc:
                     raise ConfigError("beta_sym", f"auto is unavailable: {exc}") from exc
-        elif not (isinstance(self.beta_sym, (int, float)) and self.beta_sym > 0
+        elif not (_is_real(self.beta_sym) and self.beta_sym > 0
                   and math.isfinite(self.beta_sym)):
             raise ConfigError("beta_sym", f"must be a positive real, got {self.beta_sym!r}")
         if self.accuracy_reference not in ("population", "empirical"):
@@ -199,7 +208,7 @@ def _trial_error(output: SelectionOutput, ref: np.ndarray, k: int) -> float:
     return max(0.0, _topk_sum(ref, k) - float(np.dot(ref, output.scores)))
 
 
-def _run_column_sum_trials(config: ExperimentConfig, workers: int):
+def _run_trials(config: ExperimentConfig, workers: int):
     b = config.resolved_beta()
     eps = config.epsilon
     dlt = config.resolved_delta()
@@ -209,57 +218,35 @@ def _run_column_sum_trials(config: ExperimentConfig, workers: int):
     kernel = kernel_from_means(mech, k=k, n=n, epsilon=eps, delta=dlt)
     use_population = config.accuracy_reference == "population"
     is_mean_kind = config.kind == "mean"
+    is_trace_kind = config.kind == "trace"
 
     def trial(t: int):
         rng = trial_generator(config.master_seed, t)
         means = beta_draws(prior, d, rng)
         sums = rng.binomial(n, means).astype(np.float64)
         emp = sums / n
+        ref = means if use_population else emp
         if is_mean_kind:
             unclamped, clamped = gaussian_release_from_means(emp, n, eps, dlt, rng)
             output = SelectionOutput.from_scores(clamped)
-            ref = means if use_population else emp
-            err = float(np.mean((clamped - ref) ** 2))
             err_unclamped = float(np.mean((unclamped - emp) ** 2))
         else:
             output = kernel(emp, rng)
-            ref = means if use_population else emp
-            err = _trial_error(output, ref, k)
             err_unclamped = 0.0
-        z = float(np.dot(output.scores, sums - n * means))
-        centered = float(np.dot(output.scores, means - 0.5))
-        return (err, z, 2.0 * b * centered, centered / k, output.l2_norm_sq, err_unclamped)
-
-    return _collect(trial, config.trials, workers), b, dlt, mech
-
-
-def _run_trace_trials(config: ExperimentConfig, workers: int):
-    b = config.resolved_beta()
-    eps = config.epsilon
-    dlt = config.resolved_delta()
-    mech = config.resolved_mechanism()
-    d, k, n = config.d, config.k, config.n
-    prior = BetaParams(b, b)
-    use_population = config.accuracy_reference == "population"
-
-    def trial(t: int):
-        rng = trial_generator(config.master_seed, t)
-        pop = Population(means=beta_draws(prior, d, rng), prior=prior)
-        x = sample_dataset(pop, n, rng)
-        output = run_named_mechanism(mech, x, k, eps, dlt, rng)
-        report = z_statistic(output, x, pop)
-        ref = pop.means if use_population else x.column_means()
         if output.is_indicator:
             err = _trial_error(output, ref, k)
         else:
             err = float(np.mean((output.scores - ref) ** 2))
-        i = int(rng.integers(n))
-        member = tracing_score(output, x.row(i), pop.means)
-        fresh = (rng.random(d) < pop.means).astype(np.float64)
-        nonmember = tracing_score(output, fresh, pop.means)
-        centered = float(np.dot(output.scores, pop.means - 0.5))
-        return (err, report.z_total, 2.0 * b * centered, centered / k,
-                output.l2_norm_sq, member, nonmember)
+        z = float(np.dot(output.scores, sums - n * means))
+        centered = float(np.dot(output.scores, means - 0.5))
+        row = (err, z, 2.0 * b * centered, centered / k, output.l2_norm_sq, err_unclamped)
+        if not is_trace_kind:
+            return row
+        # Given the column sums, a uniformly chosen member row has
+        # independent Bernoulli(S_j/n) bits, so no row-level dataset is needed.
+        member = (rng.random(d) < emp).astype(np.float64)
+        fresh = (rng.random(d) < means).astype(np.float64)
+        return row + (tracing_score(output, member, means), tracing_score(output, fresh, means))
 
     return _collect(trial, config.trials, workers), b, dlt, mech
 
@@ -289,10 +276,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, collect_trials: b
         raise ConfigError("kind", 'use sweep(base, axis, values) for kind "sweep"')
 
     start = time.perf_counter()
-    if config.kind == "trace":
-        table, b, dlt, mech = _run_trace_trials(config, workers)
-    else:
-        table, b, dlt, mech = _run_column_sum_trials(config, workers)
+    table, b, dlt, mech = _run_trials(config, workers)
     runtime = time.perf_counter() - start
 
     errs, zs, lbs, gams, l2s = (table[:, i] for i in range(5))
@@ -309,9 +293,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1, collect_trials: b
 
     extra = {}
     if config.kind == "trace":
-        member_mean, _ = _mean_ci(table[:, 5])
-        nonmember_mean, _ = _mean_ci(table[:, 6])
-        gap_mean, gap_ci = _mean_ci(table[:, 5] - table[:, 6])
+        member_mean, _ = _mean_ci(table[:, 6])
+        nonmember_mean, _ = _mean_ci(table[:, 7])
+        gap_mean, gap_ci = _mean_ci(table[:, 6] - table[:, 7])
         extra = {
             "member_mean": member_mean,
             "nonmember_mean": nonmember_mean,
@@ -411,7 +395,7 @@ def render_csv(records) -> str:
 
 
 def _json_value(value) -> str:
-    if value is None:
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -424,7 +408,9 @@ def _json_value(value) -> str:
 
 def render_json(records) -> str:
     """Records as a JSON document with a fixed field order and floats at 17
-    significant digits; None-valued optional fields are omitted."""
+    significant digits; None-valued optional fields are omitted and
+    non-finite floats (the half-widths of a one-trial run, an unbounded
+    z_upper) are written as null, so strict JSON parsers accept it."""
     lines = ['{"records": [']
     recs = _as_list(records)
     for idx, rec in enumerate(recs):

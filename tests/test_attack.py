@@ -1,10 +1,14 @@
 """Selection statistic, its two bounds, the exact expectation identities,
 and the tracing experiments."""
 
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privsel.attack import (
     BoundParameters,
@@ -20,7 +24,7 @@ from privsel.attack import (
     z_statistic,
 )
 from privsel.betadist import BetaParams
-from privsel.instance import Population, sample_dataset
+from privsel.instance import Dataset, Population, sample_dataset
 from privsel.mechanisms import SelectionOutput
 from privsel.seeds import trial_generator
 
@@ -52,12 +56,60 @@ def test_z_statistic_single_column_all_ones():
     assert report.z_by_col[1] == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=12),
+       d=st.integers(min_value=1, max_value=8))
+def test_z_statistic_row_and_column_totals_agree(data, n, d):
+    # Trial loops compute Z from column sums alone; its row decomposition
+    # is checked here, on materialized datasets.
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    bits = data.draw(st.lists(st.lists(st.booleans(), min_size=d, max_size=d),
+                              min_size=n, max_size=n))
+    means = np.array(data.draw(st.lists(unit, min_size=d, max_size=d)))
+    scores = np.array(data.draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                                         min_size=d, max_size=d)))
+    x = Dataset(np.array(bits))
+    pop = Population(means=means, prior=BetaParams(1, 1))
+    report = z_statistic(SelectionOutput.from_scores(scores), x, pop)
+    direct = math.fsum(scores[j] * (bits[i][j] - means[j]) for i in range(n) for j in range(d))
+    assert report.z_total == pytest.approx(direct, abs=1e-9)
+    assert math.fsum(report.z_by_row) == pytest.approx(direct, abs=1e-9)
+
+
+def test_member_row_given_column_sums_is_bernoulli():
+    # The trace kind draws a member row as Bernoulli(S/n) given the column
+    # sums S. Enumerating every n x d dataset shows that (S, X_I), with I
+    # uniform over rows, has exactly the law Binomial(n, P) x Bernoulli(S/n).
+    n, d = 3, 3
+    p = np.array([0.3, 0.8, 0.55])
+    law = defaultdict(float)
+    for cells in itertools.product((0, 1), repeat=n * d):
+        x = np.array(cells).reshape(n, d)
+        weight = float(np.prod(np.where(x == 1, p, 1.0 - p)))
+        sums = tuple(int(s) for s in x.sum(axis=0))
+        for i in range(n):
+            law[sums, tuple(int(b) for b in x[i])] += weight / n
+    total = 0.0
+    for sums in itertools.product(range(n + 1), repeat=d):
+        for row in itertools.product((0, 1), repeat=d):
+            want = 1.0
+            for pj, s, bit in zip(p, sums, row):
+                want *= math.comb(n, s) * pj**s * (1.0 - pj) ** (n - s)
+                want *= s / n if bit else 1.0 - s / n
+            assert law[sums, row] == pytest.approx(want, abs=1e-12)
+            total += want
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
 def test_privacy_upper_bound_values():
     p = BoundParameters(epsilon=1.0, delta=0.0, Delta=1.0)
     want = 100 * (math.e * 0.5 * 3.0)
     assert privacy_upper_bound(p, 100, 9.0) == pytest.approx(want, rel=1e-12)
     p = BoundParameters(epsilon=0.0, delta=1.0, Delta=5.0)
     assert privacy_upper_bound(p, 10, 4.0) == pytest.approx(60.0, rel=1e-12)
+    # e^epsilon overflows a float past epsilon ~ 709; the bound is vacuous
+    p = BoundParameters(epsilon=1e6, delta=1e-6, Delta=2.0)
+    assert privacy_upper_bound(p, 100, 9.0) == math.inf
     with pytest.raises(ValueError):
         BoundParameters(epsilon=1.0, delta=0.0, Delta=0.0)
 

@@ -117,3 +117,26 @@ def test_mean_subcommand_runs(capsys):
     rec = json.loads(out)["records"][0]
     assert rec["mechanism"] == "gauss-mean"
     assert rec["err_unclamped_mean"] > 0.0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_one_trial_json_is_strict(capsys):
+    # one trial has no confidence half-width; strict parsers must still read it
+    code, out, _ = run_cli(capsys, "trace", "--d", "64", "--k", "4", "--n", "25",
+                           "--beta", "1.5", "--trials", "1", "--format", "json")
+    assert code == 0
+    record = json.loads(out, parse_constant=_reject_constant)["records"][0]
+    assert record["err_ci"] is None and record["z_ci"] is None
+    assert record["lb_proxy_ci"] is None and record["gap_ci"] is None
+
+
+def test_huge_epsilon_runs_with_unbounded_ceiling(capsys):
+    code, out, err = run_cli(capsys, "topk", "--d", "64", "--k", "4", "--n", "100",
+                             "--beta", "1.5", "--eps", "1e6", "--trials", "5",
+                             "--format", "json")
+    assert code == 0, err
+    record = json.loads(out, parse_constant=_reject_constant)["records"][0]
+    assert record["z_upper"] is None

@@ -2,10 +2,13 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from privsel.attack import tracing_score, z_statistic
+from privsel.betadist import BetaParams, beta_draws
 from privsel.errors import ConfigError
 from privsel.harness import (
     CSV_COLUMNS,
@@ -18,7 +21,9 @@ from privsel.harness import (
     run_experiment,
     sweep,
 )
-from privsel.mechanisms import gaussian_sigma
+from privsel.instance import Population, sample_dataset
+from privsel.mechanisms import gaussian_sigma, run_named_mechanism
+from privsel.seeds import trial_generator
 
 SMALL = ExperimentConfig(kind="topk", d=32, k=2, n=100, beta_sym=2.0,
                          mechanism="rnm", trials=50, master_seed=3)
@@ -41,6 +46,13 @@ SMALL = ExperimentConfig(kind="topk", d=32, k=2, n=100, beta_sym=2.0,
         ("mechanism", "magic"),
         ("accuracy_reference", "oracle"),
         ("master_seed", -1),
+        # bool is an int subclass but no count or real
+        ("d", True),
+        ("trials", True),
+        ("master_seed", False),
+        ("epsilon", True),
+        ("delta", False),
+        ("beta_sym", True),
     ],
 )
 def test_config_field_validation(field, value):
@@ -142,6 +154,56 @@ def test_trace_kind_reports_gap_fields():
     record = run_experiment(config)
     assert record.member_mean is not None and record.nonmember_mean is not None
     assert record.gap_mean == pytest.approx(record.member_mean - record.nonmember_mean, abs=1e-9)
+
+
+def _row_level_trace(config: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Reference for the trace kind: each trial materializes the n x d
+    dataset, runs the mechanism on it and scores a uniformly chosen row."""
+    b = config.resolved_beta()
+    prior = BetaParams(b, b)
+    columns = {"err": [], "z": [], "member": [], "nonmember": []}
+    for t in range(config.trials):
+        rng = trial_generator(config.master_seed, t)
+        pop = Population(means=beta_draws(prior, config.d, rng), prior=prior)
+        x = sample_dataset(pop, config.n, rng)
+        out = run_named_mechanism(config.resolved_mechanism(), x, config.k,
+                                  config.epsilon, config.resolved_delta(), rng)
+        best = np.sort(pop.means)[-config.k:].sum()
+        columns["err"].append(best - float(np.dot(out.scores, pop.means)))
+        columns["z"].append(z_statistic(out, x, pop).z_total)
+        row = x.row(int(rng.integers(config.n)))
+        columns["member"].append(tracing_score(out, row, pop.means))
+        fresh = (rng.random(config.d) < pop.means).astype(np.float64)
+        columns["nonmember"].append(tracing_score(out, fresh, pop.means))
+    return {name: np.array(values) for name, values in columns.items()}
+
+
+def test_trace_kind_matches_row_level_reference():
+    # the column-sum trace trial keeps the law of the row-level one: each
+    # trial mean agrees with the materialized reference within 5 sigma
+    config = ExperimentConfig(kind="trace", d=64, k=4, n=25, beta_sym=1.5,
+                              mechanism="nonprivate", trials=600, master_seed=11)
+    record = run_experiment(config)
+    ref = _row_level_trace(dataclasses.replace(config, master_seed=12))
+    pairs = {"err": (record.err_mean, record.err_ci), "z": (record.z_mean, record.z_ci),
+             "member": (record.member_mean, None), "nonmember": (record.nonmember_mean, None)}
+    for name, (mean, ci) in pairs.items():
+        se_ref = float(np.std(ref[name], ddof=1)) / math.sqrt(config.trials)
+        se = se_ref if ci is None else ci / 3.0
+        assert abs(mean - float(ref[name].mean())) <= 5.0 * math.hypot(se, se_ref), name
+
+
+def test_trace_trials_never_build_the_row_matrix():
+    # a 10^6 x 1024 bit matrix would need gigabytes; column-sum trials need O(d)
+    config = ExperimentConfig(kind="trace", d=1024, k=8, n=10**6, mechanism="peeling",
+                              trials=3)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_run_experiment_rejects_sweep_kind():
